@@ -8,6 +8,10 @@
 // the hot path (components for the auditor, BFS for routing/floods).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <map>
+#include <memory>
+
 #include "net/topology.hpp"
 #include "util/rng.hpp"
 
@@ -135,5 +139,77 @@ static void BM_AuditProbeSteadyState(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AuditProbeSteadyState)->Arg(0)->Arg(1);
+
+// ---------------------------------------------------------------------------
+// Per-query cost vs. network size.  The hello-tick path asks bounded
+// questions about near pairs (QDSet members, nearby heads); each should
+// cost what it visits, so these rows should stay flat from 1k to 100k nodes
+// at constant density (mean degree ~11: the area grows with n).
+// arg0 = node count.  Topologies are built once per n and reused.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct ScaledTopology {
+  Topology topo;
+  std::vector<std::pair<NodeId, NodeId>> near_pairs;  ///< 2 hops apart
+};
+
+const ScaledTopology& scaled_topology(std::uint32_t n) {
+  static std::map<std::uint32_t, std::unique_ptr<ScaledTopology>> cache;
+  auto& slot = cache[n];
+  if (slot) return *slot;
+  const double side = 1000.0 * std::sqrt(n / 1000.0);
+  Rng rng(9);
+  slot = std::make_unique<ScaledTopology>(
+      ScaledTopology{Topology(Rect{side, side}, 60.0), {}});
+  Topology& topo = slot->topo;
+  for (std::uint32_t i = 0; i < n; ++i)
+    topo.add_node(i, topo.area().sample(rng));
+  for (std::uint32_t i = 0; slot->near_pairs.size() < 1024 && i < n; ++i) {
+    for (const auto& [v, d] : topo.k_hop_view(i, 2)) {
+      if (d == 2) {
+        slot->near_pairs.emplace_back(i, v);
+        break;
+      }
+    }
+  }
+  topo.components_view();  // partition current, as on the hello tick
+  return *slot;
+}
+
+}  // namespace
+
+static void BM_NearHopDistance(benchmark::State& state) {
+  const auto& s = scaled_topology(static_cast<std::uint32_t>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = s.near_pairs[i++ % s.near_pairs.size()];
+    benchmark::DoNotOptimize(s.topo.hop_distance(a, b));
+  }
+}
+BENCHMARK(BM_NearHopDistance)->Arg(1000)->Arg(10000)->Arg(100000);
+
+static void BM_NearReachable(benchmark::State& state) {
+  const auto& s = scaled_topology(static_cast<std::uint32_t>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = s.near_pairs[i++ % s.near_pairs.size()];
+    benchmark::DoNotOptimize(s.topo.reachable(a, b));
+  }
+}
+BENCHMARK(BM_NearReachable)->Arg(1000)->Arg(10000)->Arg(100000);
+
+static void BM_WithinTwoHops(benchmark::State& state) {
+  const auto& s = scaled_topology(static_cast<std::uint32_t>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    std::uint64_t sum = 0;
+    s.topo.for_each_within(s.near_pairs[i++ % s.near_pairs.size()].first, 2,
+                           [&](NodeId, std::uint32_t d) { sum += d; });
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_WithinTwoHops)->Arg(1000)->Arg(10000)->Arg(100000);
 
 BENCHMARK_MAIN();

@@ -33,12 +33,14 @@ void ClusterView::set_head(NodeId id) {
     member_head_.erase(member_it);
   }
   roles_[id] = Role::kClusterHead;
-  heads_.insert(id);
+  if (id >= head_flag_.size()) head_flag_.resize(std::size_t{id} + 1, 0);
+  head_flag_[id] = 1;
+  ++head_count_;
   cluster_.try_emplace(id);
 }
 
 void ClusterView::set_member(NodeId id, NodeId head) {
-  QIP_ASSERT_MSG(heads_.count(head), "configuring under non-head " << head);
+  QIP_ASSERT_MSG(is_head(head), "configuring under non-head " << head);
   QIP_ASSERT_MSG(role(id) != Role::kClusterHead,
                  "head " << id << " cannot become a member");
   roles_[id] = Role::kCommonNode;
@@ -48,7 +50,7 @@ void ClusterView::set_member(NodeId id, NodeId head) {
 
 void ClusterView::reassign_member(NodeId id, NodeId new_head) {
   QIP_ASSERT(role(id) == Role::kCommonNode);
-  QIP_ASSERT(heads_.count(new_head));
+  QIP_ASSERT(is_head(new_head));
   auto it = member_head_.find(id);
   if (it != member_head_.end()) {
     auto cluster_it = cluster_.find(it->second);
@@ -68,7 +70,8 @@ void ClusterView::remove(NodeId id) {
       for (NodeId member : cluster_it->second) member_head_.erase(member);
       cluster_.erase(cluster_it);
     }
-    heads_.erase(id);
+    head_flag_[id] = 0;
+    --head_count_;
   } else if (r == Role::kCommonNode) {
     auto it = member_head_.find(id);
     if (it != member_head_.end()) {
@@ -97,16 +100,21 @@ std::vector<NodeId> ClusterView::members_of(NodeId head) const {
 }
 
 std::vector<NodeId> ClusterView::heads() const {
-  std::vector<NodeId> out(heads_.begin(), heads_.end());
-  std::sort(out.begin(), out.end());
+  std::vector<NodeId> out;
+  out.reserve(head_count_);
+  for (std::size_t id = 0; id < head_flag_.size(); ++id) {
+    if (head_flag_[id]) out.push_back(static_cast<NodeId>(id));
+  }
   return out;
 }
 
 std::vector<NodeId> ClusterView::heads_within(NodeId id, std::uint32_t k) const {
+  // BFS discovers nodes in nondecreasing hop order, so sorting the (few)
+  // heads it finds by (hops, id) only reorders ids within a ring.
   std::vector<std::pair<std::uint32_t, NodeId>> found;
-  for (const auto& [node, dist] : topology_->k_hop_view(id, k)) {
-    if (heads_.count(node)) found.emplace_back(dist, node);
-  }
+  topology_->for_each_within(id, k, [&](NodeId n, std::uint32_t d) {
+    if (n != id && is_head(n)) found.emplace_back(d, n);
+  });
   std::sort(found.begin(), found.end());
   std::vector<NodeId> out;
   out.reserve(found.size());
@@ -128,7 +136,7 @@ std::optional<NodeId> ClusterView::nearest_head(NodeId id) const {
     std::size_t seen = 0;
     topology_->for_each_within(id, radius, [&](NodeId n, std::uint32_t d) {
       ++seen;
-      if (n == id || !heads_.count(n)) return;
+      if (n == id || !is_head(n)) return;
       const std::pair<std::uint32_t, NodeId> cand{d, n};
       if (!best || cand < *best) best = cand;
     });
@@ -139,10 +147,12 @@ std::optional<NodeId> ClusterView::nearest_head(NodeId id) const {
 }
 
 bool ClusterView::heads_nonadjacent() const {
-  for (NodeId head : heads_) {
-    if (!topology_->has_node(head)) continue;
-    for (NodeId n : topology_->neighbors_view(head)) {
-      if (heads_.count(n)) return false;
+  for (std::size_t head = 0; head < head_flag_.size(); ++head) {
+    if (!head_flag_[head]) continue;
+    const auto h = static_cast<NodeId>(head);
+    if (!topology_->has_node(h)) continue;
+    for (NodeId n : topology_->neighbors_view(h)) {
+      if (is_head(n)) return false;
     }
   }
   return true;

@@ -32,7 +32,9 @@ class ClusterView {
   explicit ClusterView(const Topology& topology) : topology_(&topology) {}
 
   Role role(NodeId id) const;
-  bool is_head(NodeId id) const { return role(id) == Role::kClusterHead; }
+  bool is_head(NodeId id) const {
+    return id < head_flag_.size() && head_flag_[id] != 0;
+  }
 
   /// Declares `id` a cluster head (it becomes its own cluster's head).
   void set_head(NodeId id);
@@ -54,13 +56,15 @@ class ClusterView {
   /// Members configured into `head`'s cluster (sorted; excludes the head).
   std::vector<NodeId> members_of(NodeId head) const;
 
-  /// All current cluster heads, sorted.
+  /// All current cluster heads, sorted (one ascending pass over the flag
+  /// vector).
   std::vector<NodeId> heads() const;
 
-  std::size_t head_count() const { return heads_.size(); }
+  std::size_t head_count() const { return head_count_; }
 
   /// Cluster heads within `k` hops of `id` on the current topology
-  /// (excluding `id` itself), sorted by (hop distance, id).
+  /// (excluding `id` itself), sorted by (hop distance, id).  One
+  /// depth-bounded BFS: costs the k-hop ball, not the network.
   std::vector<NodeId> heads_within(NodeId id, std::uint32_t k) const;
 
   /// Nearest cluster head reachable from `id` (any distance), or nullopt.
@@ -75,7 +79,11 @@ class ClusterView {
   std::unordered_map<NodeId, Role> roles_;
   std::unordered_map<NodeId, NodeId> member_head_;       // member -> head
   std::unordered_map<NodeId, std::unordered_set<NodeId>> cluster_;  // head -> members
-  std::unordered_set<NodeId> heads_;
+  /// The head index: head_flag_[id] != 0 iff `id` is a cluster head.
+  /// Id-indexed (ids are driver-assigned and dense), grown on set_head;
+  /// ids past its end are not heads.
+  std::vector<std::uint8_t> head_flag_;
+  std::size_t head_count_ = 0;
 };
 
 }  // namespace qip

@@ -334,6 +334,17 @@ class QipEngine : public AutoconfProtocol {
   /// Reused quorum-round scratch: the voting group under construction
   /// (sorted; cleared per round, capacity retained — docs/SCALE.md).
   std::vector<NodeId> round_group_;
+  /// Reused refresh_network_ids scratch (per component; capacity retained):
+  /// one tally per epoch nonce, and each member's tally index.
+  struct NetIdTally {
+    std::uint64_t nonce;
+    IpAddress min_ip;     ///< lowest address held in the nonce group
+    IpAddress first_low;  ///< the first member's network-id low
+    bool split;           ///< some member's low differs from first_low
+  };
+  static constexpr std::uint32_t kNoNetIdGroup = ~std::uint32_t{0};
+  std::vector<NetIdTally> netid_tally_;
+  std::vector<std::uint32_t> netid_group_;
   std::uint64_t config_failures_ = 0;
   std::uint64_t config_successes_ = 0;
   std::uint64_t reclaims_started_ = 0;

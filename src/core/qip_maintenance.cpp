@@ -84,28 +84,42 @@ void QipEngine::refresh_network_ids() {
   // so a freshly healed boundary is detected before ids unify.
   for (const auto& component : topology().components_view()) {
     // Epoch nonces separate pools born independently; each epoch group in
-    // the component tracks its own minimum.
-    std::map<std::uint64_t, IpAddress> lows;
-    std::map<std::uint64_t, std::set<IpAddress>> seen_lows;
+    // the component tracks its own minimum, and is split when its members
+    // disagree on the low.  A component holds one group per independently
+    // bootstrapped network merged into it — a handful — so the groups are a
+    // flat list scanned linearly, and netid_group_ remembers each member's
+    // group for the write-back pass.
+    netid_tally_.clear();
+    netid_group_.clear();
     for (NodeId id : component) {
-      if (!alive(id)) continue;
-      const auto& st = node(id);
-      if (st.role == Role::kUnconfigured || !st.ip) continue;
-      auto [it, fresh] = lows.try_emplace(st.network_id.nonce, *st.ip);
-      if (!fresh && *st.ip < it->second) it->second = *st.ip;
-      seen_lows[st.network_id.nonce].insert(st.network_id.low);
+      std::uint32_t g = kNoNetIdGroup;
+      if (alive(id)) {
+        const auto& st = node(id);
+        if (st.role != Role::kUnconfigured && st.ip) {
+          const std::uint64_t nonce = st.network_id.nonce;
+          g = 0;
+          while (g < netid_tally_.size() && netid_tally_[g].nonce != nonce) ++g;
+          if (g == netid_tally_.size()) {
+            netid_tally_.push_back({nonce, *st.ip, st.network_id.low, false});
+          } else {
+            NetIdTally& t = netid_tally_[g];
+            if (*st.ip < t.min_ip) t.min_ip = *st.ip;
+            if (st.network_id.low != t.first_low) t.split = true;
+          }
+        }
+      }
+      netid_group_.push_back(g);
     }
-    for (NodeId id : component) {
-      if (!alive(id)) continue;
-      auto& st = node(id);
-      if (st.role == Role::kUnconfigured || !st.ip) continue;
+    for (std::size_t i = 0; i < component.size(); ++i) {
+      const std::uint32_t g = netid_group_[i];
+      if (g == kNoNetIdGroup) continue;
       // A nonce group whose members disagree on the low is a *pending
       // merge* (two healed partitions): leave the ids divergent so
       // merge_scan can still detect the boundary on a later tick —
       // unifying them here would hide the merge and with it the
       // duplicate-address resolution.
-      if (seen_lows.at(st.network_id.nonce).size() > 1) continue;
-      st.network_id.low = lows.at(st.network_id.nonce);
+      const NetIdTally& t = netid_tally_[g];
+      if (!t.split) node(component[i]).network_id.low = t.min_ip;
     }
   }
 }

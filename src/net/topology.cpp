@@ -137,11 +137,18 @@ std::optional<std::uint32_t> Topology::hop_distance(NodeId from,
   QIP_ASSERT(has_node(from) && has_node(to));
   if (!cache_enabled_) return hop_distance_uncached(from, to);
   if (from == to) return 0;
+  if (!cache_.connected(index_, from, to)) return std::nullopt;
   const auto& graph = cache_.csr(index_);
   const auto src = graph.rank_of(from);
   const auto dst = graph.rank_of(to);
   QIP_ASSERT(src.has_value() && dst.has_value());
   return cache_.hop_distance(graph, *src, *dst);
+}
+
+bool Topology::reachable(NodeId from, NodeId to) const {
+  QIP_ASSERT(has_node(from) && has_node(to));
+  if (!cache_enabled_) return hop_distance_uncached(from, to).has_value();
+  return from == to || cache_.connected(index_, from, to);
 }
 
 std::vector<NodeId> Topology::component_of(NodeId id) const {

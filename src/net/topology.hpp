@@ -104,7 +104,9 @@ class Topology {
   const std::vector<std::pair<NodeId, std::uint32_t>>& k_hop_view(
       NodeId id, std::uint32_t k) const;
 
-  /// BFS hop distance, or nullopt if unreachable.
+  /// BFS hop distance, or nullopt if unreachable.  A pair in different
+  /// components of the cached partition answers nullopt without a BFS; a
+  /// connected pair costs an early-exit BFS over the nodes it visits.
   std::optional<std::uint32_t> hop_distance(NodeId from, NodeId to) const;
 
   /// Hop distances from `from` to every reachable node (including itself at
@@ -150,9 +152,10 @@ class Topology {
                [&](std::uint32_t r, std::uint32_t d) { fn(graph.ids[r], d); });
   }
 
-  bool reachable(NodeId from, NodeId to) const {
-    return hop_distance(from, to).has_value();
-  }
+  /// True iff a path joins `from` and `to` (both present).  With the cache
+  /// on this is one comparison on the cached components partition: O(1)
+  /// once the partition is current for this epoch, no BFS.
+  bool reachable(NodeId from, NodeId to) const;
 
   /// Members of the connected component containing `id` (includes `id`),
   /// sorted by id.

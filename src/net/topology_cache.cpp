@@ -160,8 +160,9 @@ void TopologyCache::rebuild_csr(const GridIndex& index) {
 bool TopologyCache::try_patch(const GridIndex& index) {
   if (journal_.empty()) return false;  // untracked mutation: play it safe
   if (csr_.ids.empty() || csr_.rank_tbl.empty()) return false;
-  // Compaction triggers: tombstones slow every dist_ reset, dead pool spans
-  // bloat memory; a full rebuild clears both.
+  // Compaction triggers: tombstones cost memory in every slot-indexed array
+  // (and a pass over them in each components rebuild), dead pool spans
+  // bloat the pool; a full rebuild clears both.
   if (csr_.ids.size() - csr_.live_count > csr_.live_count) return false;
   if (pool_garbage_ * 2 > csr_.pool.size() + 1024) return false;
 
@@ -692,22 +693,29 @@ std::optional<std::uint32_t> TopologyCache::hop_distance(const Csr& graph,
                                                          std::uint32_t src,
                                                          std::uint32_t dst) {
   if (src == dst) return 0;
-  dist_.assign(graph.ids.size(), kUnreached);
-  queue_.clear();
-  dist_[src] = 0;
-  queue_.push_back(src);
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const std::uint32_t u = queue_[head];
-    const std::uint32_t d = dist_[u];
+  const std::uint32_t gen = next_visit_gen(graph.ids.size());
+  frontier_.clear();
+  visit_[src] = gen;
+  frontier_.emplace_back(src, 0u);
+  for (std::size_t head = 0; head < frontier_.size(); ++head) {
+    const auto [u, d] = frontier_[head];
     for (const NodeId* p = graph.row_begin(u); p != graph.row_end(u); ++p) {
       const std::uint32_t v = graph.slot_of(*p);
-      if (dist_[v] != kUnreached) continue;
-      dist_[v] = d + 1;
+      if (visit_[v] == gen) continue;
+      visit_[v] = gen;
       if (v == dst) return d + 1;
-      queue_.push_back(v);
+      frontier_.emplace_back(v, d + 1);
     }
   }
   return std::nullopt;
+}
+
+bool TopologyCache::connected(const GridIndex& index, NodeId a, NodeId b) {
+  const Components& comps = components(index);
+  const std::uint32_t sa = csr_.slot_of(a);
+  const std::uint32_t sb = csr_.slot_of(b);
+  QIP_ASSERT(sa != kUnreached && sb != kUnreached);
+  return comps.group_of[sa] == comps.group_of[sb];
 }
 
 }  // namespace qip

@@ -166,33 +166,39 @@ class TopologyCache {
   /// calling `fn(slot, depth)` for the source (depth 0) and then for every
   /// discovered node in discovery order.  Rows are id-ascending and slots
   /// ascend with ids, so the order equals the uncached sorted-neighbor BFS.
+  /// The visited set is a generation-stamped slot array, so a call costs
+  /// the slots it visits and their rows, never a pass over every slot.
   template <typename Fn>
   void bfs(const Csr& graph, std::uint32_t src, std::uint32_t max_depth,
            Fn&& fn) {
-    dist_.assign(graph.ids.size(), kUnreached);
-    queue_.clear();
-    dist_[src] = 0;
+    const std::uint32_t gen = next_visit_gen(graph.ids.size());
+    frontier_.clear();
+    visit_[src] = gen;
     fn(src, 0u);
-    queue_.push_back(src);
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
-      const std::uint32_t u = queue_[head];
-      const std::uint32_t d = dist_[u];
+    frontier_.emplace_back(src, 0u);
+    for (std::size_t head = 0; head < frontier_.size(); ++head) {
+      const auto [u, d] = frontier_[head];
       if (d == max_depth) continue;
       for (const NodeId* p = graph.row_begin(u); p != graph.row_end(u); ++p) {
         const std::uint32_t v = graph.slot_of(*p);
-        if (dist_[v] != kUnreached) continue;
-        dist_[v] = d + 1;
+        if (visit_[v] == gen) continue;
+        visit_[v] = gen;
         fn(v, d + 1);
-        queue_.push_back(v);
+        frontier_.emplace_back(v, d + 1);
       }
     }
   }
 
   /// Early-exit BFS distance between two slots (the value a full BFS would
-  /// assign), or nullopt when disconnected.
+  /// assign), or nullopt when disconnected.  Costs the slots visited before
+  /// `dst` is found.
   std::optional<std::uint32_t> hop_distance(const Csr& graph,
                                             std::uint32_t src,
                                             std::uint32_t dst);
+
+  /// True iff live nodes `a` and `b` lie in one component of the current
+  /// partition: one group_of comparison once the partition is current.
+  bool connected(const GridIndex& index, NodeId a, NodeId b);
 
   // -- introspection (differential tests, fig_metro phase reports) ---------
   std::uint64_t full_rebuilds() const { return full_rebuilds_; }
@@ -249,6 +255,18 @@ class TopologyCache {
   /// grow monotonically under churn, so a pure density rule would
   /// eventually disable the incremental path for good.
   static constexpr std::size_t kMaxRankTblId = std::size_t{1} << 22;
+
+  /// Starts a new BFS visit generation covering `slots` slots.
+  std::uint32_t next_visit_gen(std::size_t slots) {
+    if (visit_.size() < slots) visit_.resize(slots, 0);
+    if (++visit_gen_ == 0) {
+      // Wrapped after 2^32 queries: stamps from the previous cycle could
+      // collide, so clear them once.
+      std::fill(visit_.begin(), visit_.end(), 0);
+      visit_gen_ = 1;
+    }
+    return visit_gen_;
+  }
 
   void clear_journal() {
     journal_.clear();
@@ -322,8 +340,16 @@ class TopologyCache {
 
   // Scratch buffers reused across queries/patches (held at high-water
   // capacity so the steady state allocates nothing).
-  std::vector<std::uint32_t> dist_;
   std::vector<std::uint32_t> queue_;
+  /// Slot-indexed BFS visit stamps: slot s is visited by the current
+  /// bfs()/hop_distance() call iff visit_[s] == visit_gen_.  Bumping the
+  /// generation clears the set in O(1); stale stamps from earlier calls,
+  /// early exits or an exception escaping a visitor are never mistaken
+  /// for current ones.
+  std::vector<std::uint32_t> visit_;
+  std::uint32_t visit_gen_ = 0;
+  /// BFS queue of (slot, depth) pairs.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> frontier_;
   std::vector<NodeId> cand_buf_;
   std::vector<NodeId> candidates_;
   std::vector<NodeId> ev_ids_;

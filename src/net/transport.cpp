@@ -1,5 +1,7 @@
 #include "net/transport.hpp"
 
+#include <algorithm>
+
 #include "obs/profile.hpp"
 #include "sim/sim_context.hpp"
 #include "util/assert.hpp"
@@ -131,7 +133,49 @@ const std::vector<NodeId>& Transport::flood_view(NodeId from,
   if (!can_transmit(from)) return reached_;
   QIP_ASSERT(radius >= 1);
   obs::ProfileScope prof("transport_flood", ctx().recorder(), ctx().metrics());
-  const auto& in_range = topology_.k_hop_view(from, radius);
+  deliver_flood(from, radius, topology_.k_hop_view(from, radius), t,
+                on_deliver);
+  return reached_;
+}
+
+const std::vector<NodeId>& Transport::flood_component_view(
+    NodeId from, Traffic t, Receiver on_deliver) {
+  reached_.clear();
+  if (!can_transmit(from)) return reached_;
+  // The cached components partition answers "is the sender alone?" without
+  // a BFS.
+  if (topology_.component_view(from).size() == 1) {
+    // Isolated sender: one futile transmission.
+    stats_.record(t, 1, 1);
+    if (ctx().tracing_on()) {
+      ctx().recorder().instant(
+          sim_.now(), "flood", "net", from,
+          {{"traffic", to_string(t)},
+           {"hops", std::uint32_t{1}},
+           {"reached", std::uint32_t{0}}});
+    }
+    return reached_;
+  }
+  obs::ProfileScope prof("transport_flood", ctx().recorder(), ctx().metrics());
+  // One BFS yields both the flood radius (the sender's eccentricity) and
+  // every receiver's hop count; sorted by id, that is exactly the k-hop set
+  // at radius = eccentricity a scoped flood would deliver to.
+  flood_set_.clear();
+  std::uint32_t ecc = 0;
+  topology_.for_each_reachable(from, [&](NodeId n, std::uint32_t d) {
+    if (d == 0) return;
+    flood_set_.emplace_back(n, d);
+    ecc = std::max(ecc, d);
+  });
+  std::sort(flood_set_.begin(), flood_set_.end());
+  deliver_flood(from, ecc, flood_set_, t, on_deliver);
+  return reached_;
+}
+
+void Transport::deliver_flood(
+    NodeId from, std::uint32_t radius,
+    const std::vector<std::pair<NodeId, std::uint32_t>>& in_range, Traffic t,
+    const Receiver& on_deliver) {
   // Transmissions: the sender plus every node that relays (distance < radius).
   std::uint64_t transmissions = 1;
   for (const auto& [node, d] : in_range)
@@ -150,30 +194,6 @@ const std::vector<NodeId>& Transport::flood_view(NodeId from,
     reached_.push_back(node);
     deliver_later(from, node, d, on_deliver);
   }
-  return reached_;
-}
-
-const std::vector<NodeId>& Transport::flood_component_view(
-    NodeId from, Traffic t, Receiver on_deliver) {
-  reached_.clear();
-  if (!can_transmit(from)) return reached_;
-  // The cached components partition answers "is the sender alone?" without
-  // a BFS; the flood radius then costs one BFS over the same cached
-  // adjacency snapshot.
-  if (topology_.component_view(from).size() == 1) {
-    // Isolated sender: one futile transmission.
-    stats_.record(t, 1, 1);
-    if (ctx().tracing_on()) {
-      ctx().recorder().instant(
-          sim_.now(), "flood", "net", from,
-          {{"traffic", to_string(t)},
-           {"hops", std::uint32_t{1}},
-           {"reached", std::uint32_t{0}}});
-    }
-    return reached_;
-  }
-  const std::uint32_t ecc = topology_.eccentricity(from);
-  return flood_view(from, ecc, t, std::move(on_deliver));
 }
 
 }  // namespace qip

@@ -125,6 +125,12 @@ class Transport {
                      Receiver on_deliver);
   void schedule_delivery(NodeId to, std::uint32_t hops, SimTime extra,
                          Receiver on_deliver);
+  /// Charges and schedules a flood of `radius` hops to `in_range` ((node,
+  /// hops) pairs, sorted by id), filling reached_.
+  void deliver_flood(
+      NodeId from, std::uint32_t radius,
+      const std::vector<std::pair<NodeId, std::uint32_t>>& in_range,
+      Traffic t, const Receiver& on_deliver);
 
   Simulator& sim_;
   Topology& topology_;
@@ -133,6 +139,8 @@ class Transport {
   FaultInjector* faults_ = nullptr;
   /// Reached-set scratch backing the *_view variants (reused per call).
   std::vector<NodeId> reached_;
+  /// Component-flood receivers with hop counts (reused per call).
+  std::vector<std::pair<NodeId, std::uint32_t>> flood_set_;
 };
 
 }  // namespace qip

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <optional>
 
 #include "geom/point.hpp"
 #include "net/metrics.hpp"
@@ -203,6 +204,49 @@ std::vector<std::pair<NodeId, std::uint32_t>> oracle_k_hop(
   return out;  // map order == sorted by id, matching k_hop_neighbors
 }
 
+/// Hop distance from `id` to every node it reaches (itself at 0).
+std::map<NodeId, std::uint32_t> oracle_hops(const OracleMap& pts, NodeId id,
+                                            double range) {
+  std::map<NodeId, std::uint32_t> dist{{id, 0}};
+  std::vector<NodeId> frontier{id};
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const NodeId u = frontier[head];
+    for (NodeId v : oracle_neighbors(pts, u, range)) {
+      if (dist.emplace(v, dist.at(u) + 1).second) frontier.push_back(v);
+    }
+  }
+  return dist;
+}
+
+/// Back-to-back bounded queries must each match the oracle: an early-exit
+/// hop_distance leaves most of its frontier unvisited, so a BFS-scratch
+/// reset that missed a slot would surface in the queries after it.
+void expect_queries_match_oracle(const Topology& topo, const OracleMap& pts,
+                                 NodeId a, NodeId b, double range,
+                                 int step) {
+  const auto hops = oracle_hops(pts, a, range);
+  const auto it = hops.find(b);
+  const std::optional<std::uint32_t> want_ab =
+      it == hops.end() ? std::nullopt : std::optional(it->second);
+  ASSERT_EQ(topo.hop_distance(a, b), want_ab)
+      << "step " << step << " pair " << a << "-" << b;
+  ASSERT_EQ(topo.reachable(a, b), want_ab.has_value())
+      << "step " << step << " pair " << a << "-" << b;
+  ASSERT_TRUE(topo.reachable(a, a));
+  std::vector<std::pair<NodeId, std::uint32_t>> within;
+  topo.for_each_within(a, 2, [&](NodeId n, std::uint32_t d) {
+    within.emplace_back(n, d);
+  });
+  std::sort(within.begin(), within.end());
+  std::vector<std::pair<NodeId, std::uint32_t>> want_within;
+  for (const auto& [n, d] : hops) {
+    if (d <= 2) want_within.emplace_back(n, d);
+  }
+  ASSERT_EQ(within, want_within) << "step " << step << " node " << a;
+  ASSERT_EQ(topo.k_hop_neighbors(b, 3), oracle_k_hop(pts, b, 3, range))
+      << "step " << step << " node " << b;
+}
+
 TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
   // A random-waypoint trace with churn (adds/removes), checked after every
   // movement step against an O(n^2) oracle AND against a cache-disabled
@@ -379,6 +423,18 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
         a, [&](NodeId n, std::uint32_t d) { order_full.emplace_back(n, d); });
     ASSERT_EQ(order_incr, order_full)
         << "BFS discovery order diverged at step " << step;
+
+    // reachable() answers from the cached partition: random pairs (often
+    // in different components after a burst) and the from == to case.
+    const NodeId b = random_id();
+    const bool want = oracle_hops(pts, a, range).count(b) == 1;
+    ASSERT_EQ(incr.reachable(a, b), want)
+        << "step " << step << " pair " << a << "-" << b;
+    ASSERT_EQ(incr.reachable(b, a), want);
+    ASSERT_TRUE(incr.reachable(a, a));
+    if (step % 10 == 0) {
+      expect_queries_match_oracle(incr, pts, a, b, range, step);
+    }
   }
 
   // The incremental path must actually have been exercised: patches should
@@ -386,6 +442,74 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
   EXPECT_GT(incr.csr_incremental_patches(), incr.csr_full_rebuilds());
   EXPECT_GT(incr.component_repairs(), 0u);
   EXPECT_EQ(full.csr_incremental_patches(), 0u);
+}
+
+TEST(TopologyDifferential, QueriesSurviveIdGrowthAndCompaction) {
+  // The BFS scratch is slot-indexed and sized lazily: it must follow the
+  // snapshot as appended ids push past the current slot range, and as a
+  // full rebuild compacts tombstones away (renumbering every slot).
+  const double range = 150.0;
+  const Rect area{1000.0, 1000.0};
+  Rng rng(0x51a7);
+  Topology topo(area, range);
+  OracleMap pts;
+  const auto add = [&](NodeId id) {
+    const Point p = area.sample(rng);
+    topo.add_node(id, p);
+    pts[id] = p;
+  };
+  const auto check_all = [&](int step) {
+    ASSERT_EQ(topo.components(), oracle_components(pts, range));
+    for (int probe = 0; probe < 8; ++probe) {
+      const NodeId a =
+          std::next(pts.begin(),
+                    static_cast<std::ptrdiff_t>(rng.index(pts.size())))
+              ->first;
+      const NodeId b =
+          std::next(pts.begin(),
+                    static_cast<std::ptrdiff_t>(rng.index(pts.size())))
+              ->first;
+      expect_queries_match_oracle(topo, pts, a, b, range, step);
+    }
+  };
+
+  for (NodeId id = 0; id < 60; ++id) add(id);
+  check_all(0);  // builds the first snapshot and sizes the scratch
+  const auto rebuilds0 = topo.csr_full_rebuilds();
+
+  // Growth: ids far beyond the current slot range, appended by patches.
+  for (int round = 1; round <= 5; ++round) {
+    for (int i = 0; i < 15; ++i) {
+      add(static_cast<NodeId>(1000 * round + i));
+    }
+    check_all(round);
+  }
+  EXPECT_EQ(topo.csr_full_rebuilds(), rebuilds0)
+      << "appending larger ids should patch, not rebuild";
+
+  // Tombstones: remove most of the nodes.  The patch that applies the
+  // removals leaves tombstoned slots outnumbering live ones (queries run on
+  // that snapshot first); the next mutation then forces a full rebuild.
+  std::vector<NodeId> ids;
+  for (const auto& [id, p] : pts) ids.push_back(id);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i % 4 != 0) {
+      topo.remove_node(ids[i]);
+      pts.erase(ids[i]);
+    }
+  }
+  check_all(10);
+  EXPECT_EQ(topo.csr_full_rebuilds(), rebuilds0);
+  const NodeId mover = pts.begin()->first;
+  pts[mover] = area.sample(rng);
+  topo.move_node(mover, pts[mover]);
+  check_all(11);
+  EXPECT_GT(topo.csr_full_rebuilds(), rebuilds0)
+      << "tombstones past the live count should force a compaction";
+
+  // And growth again on the compacted (smaller) snapshot.
+  for (int i = 0; i < 40; ++i) add(static_cast<NodeId>(9000 + i));
+  check_all(12);
 }
 
 // ---------------------------------------------------------------------------
