@@ -18,7 +18,6 @@
 // baseline, validated by the bench_json ctest).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "net/failure_detector.hpp"
 #include "sim/sim_context.hpp"
 #include "util/assert.hpp"
+#include "util/env.hpp"
 #include "util/json_writer.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -145,11 +145,13 @@ int main(int argc, char** argv) {
   const std::uint32_t rounds = rounds_from_env(2);
   const std::uint32_t jobs = benchmain::jobs_from_args(argc, argv);
 
+  // Unset runs both arms; otherwise QIP_HARDEN parses strictly (a typo is
+  // exit 2, never a silent fallback to both arms).
   bool run_hardened = true;
   bool run_unhardened = true;
-  if (const char* env = std::getenv("QIP_HARDEN")) {
-    if (std::strcmp(env, "on") == 0) run_unhardened = false;
-    if (std::strcmp(env, "off") == 0) run_hardened = false;
+  if (std::getenv("QIP_HARDEN") != nullptr) {
+    run_hardened = env_bool("QIP_HARDEN", true);
+    run_unhardened = !run_hardened;
   }
 
   // The fraction-0 squat row is the honest baseline (no attackers are ever

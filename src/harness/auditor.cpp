@@ -1,8 +1,6 @@
 #include "harness/auditor.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 
@@ -15,16 +13,6 @@ UniquenessAuditor::UniquenessAuditor(Simulator& sim, const Topology& topology,
                                      const AutoconfProtocol& proto,
                                      SimTime period, SimTime grace)
     : sim_(sim), topology_(topology), proto_(proto), grace_(grace) {
-  // Experiment override: QIP_AUDIT_GRACE=<seconds> retunes the healing
-  // horizon without a rebuild (pairs with QIP_AUDIT_TRACE for measuring
-  // conflict-window lengths).
-  if (const char* env = std::getenv("QIP_AUDIT_GRACE")) {
-    char* end = nullptr;
-    const double parsed = std::strtod(env, &end);
-    // An unparseable value must not silently become grace 0 (the strictest
-    // possible setting); keep the configured default instead.
-    if (end != env && *end == '\0' && parsed >= 0.0) grace_ = parsed;
-  }
   probe_token_ = sim_.add_probe(period, [this] { check_now(); });
 }
 
@@ -78,11 +66,6 @@ void UniquenessAuditor::check_now() {
         diff << " in the same connected component since t=" << pc.since
              << " (grace " << grace_ << "s exceeded; domain " << key.first
              << ", protocol " << proto_.name() << ")";
-        // Observe-only escape hatch for debugging conflict timelines.
-        if (std::getenv("QIP_AUDIT_TRACE")) {
-          std::fprintf(stderr, "[audit] %s\n", diff.str().c_str());
-          continue;
-        }
         QIP_ASSERT_MSG(false, diff.str());
       }
     }

@@ -9,10 +9,10 @@
 #include "baselines/manetconf.hpp"
 #include "core/qip_engine.hpp"
 #include "harness/driver.hpp"
-#include "harness/env.hpp"
 #include "harness/parallel.hpp"
 #include "harness/world.hpp"
 #include "sim/sim_context.hpp"
+#include "util/env.hpp"
 #include "util/stats.hpp"
 
 namespace qip {

@@ -3,7 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "harness/env.hpp"
+#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace qip {

@@ -13,11 +13,11 @@
 //     hashing;
 //   * the components partition and bounded k-hop result sets.
 //
-// Through PR 9 the CSR snapshot and the components partition were rebuilt
-// from scratch on first use after *any* mutation: one node moving one meter
-// invalidated the whole O(n+E) structure.  At the paper's n≈400 that was
-// fine; at metropolis scale (n≥100k, docs/SCALE.md) a per-event rebuild
-// dominates everything.  The incremental path fixes this:
+// Rebuilding the CSR snapshot and the components partition from scratch on
+// first use after *any* mutation would make one node moving one meter
+// invalidate the whole O(n+E) structure — fine at the paper's n≈400, but at
+// metropolis scale (n≥100k, docs/SCALE.md) a per-event rebuild dominates
+// everything.  So the snapshot is maintained incrementally:
 //
 //   * Topology journals every add/remove/move into the cache (a dirty-edge
 //     journal: the id plus the position where it appeared);
@@ -33,14 +33,17 @@
 //     connected/split, falling back to a full rebuild when any budget is
 //     exhausted — correctness never depends on the repair succeeding.
 //
+// A full rebuild still runs for the first snapshot, when the journal
+// overflows (kMaxJournal), when a patch precondition fails, and to compact
+// tombstones; the patch/rebuild/repair counters below report the mix.
+//
 // Discovery-order invariant (load-bearing — the golden/trace/jobs/sched/
 // quorum gates byte-compare bench output): rows store neighbor *ids*
 // ascending and slots ascend by id (patches append only strictly larger
 // ids; anything else forces a full rebuild, which re-sorts), so BFS
-// discovery order is identical to the uncached sorted-neighbor BFS whether
-// the snapshot was patched or rebuilt.  The escape hatches:
-// QIP_TOPO_INCR=off forces full rebuilds (pre-PR-10 behavior),
-// QIP_TOPO_CACHE=off bypasses the cache entirely (docs/SIMULATOR.md).
+// discovery order is that of a plain BFS over id-sorted neighbor lists
+// whether the snapshot was patched or rebuilt.  tests/net_test.cpp checks
+// it against a brute-force O(n^2) oracle over long churn.
 //
 // The class stores no reference to the GridIndex (callers pass it in), so
 // an owning Topology stays trivially movable.
@@ -74,15 +77,6 @@ class TopologyCache {
   /// (the default) falls back to the process context.  Set by the owning
   /// Topology when a World binds it to a SimContext.
   void set_context(SimContext* ctx) { ctx_ = ctx; }
-
-  /// Incremental maintenance switch (QIP_TOPO_INCR).  Off = every mutation
-  /// invalidates the snapshot wholesale and csr() rebuilds from scratch.
-  /// Toggling at any time is safe: both paths produce identical snapshots.
-  bool incremental_enabled() const { return incremental_; }
-  void set_incremental_enabled(bool on) {
-    incremental_ = on;
-    if (!on) clear_journal();
-  }
 
   /// Flat adjacency snapshot.  Slots ascend strictly by id; removed nodes
   /// leave tombstoned slots (live[slot] == 0) until the next full rebuild
@@ -165,7 +159,7 @@ class TopologyCache {
   /// BFS from slot `src`, bounded at `max_depth` hops (kUnreached = none),
   /// calling `fn(slot, depth)` for the source (depth 0) and then for every
   /// discovered node in discovery order.  Rows are id-ascending and slots
-  /// ascend with ids, so the order equals the uncached sorted-neighbor BFS.
+  /// ascend with ids, so the order equals a sorted-neighbor BFS.
   /// The visited set is a generation-stamped slot array, so a call costs
   /// the slots it visits and their rows, never a pass over every slot.
   template <typename Fn>
@@ -307,7 +301,6 @@ class TopologyCache {
 
   double range_;
   SimContext* ctx_ = nullptr;
-  bool incremental_ = true;
   std::unordered_map<NodeId, AdjRow> adj_;
 
   Csr csr_;

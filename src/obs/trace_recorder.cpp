@@ -6,6 +6,8 @@
 #include <fstream>
 #include <ostream>
 
+#include "util/env.hpp"
+
 namespace qip::obs {
 
 namespace {
@@ -104,10 +106,8 @@ void dump_env_trace() {
 }
 
 void TraceRecorder::init_from_env() {
-  if (const char* buf = std::getenv("QIP_TRACE_BUF")) {
-    const unsigned long long n = std::strtoull(buf, nullptr, 10);
-    if (n > 0) capacity_ = static_cast<std::size_t>(n);
-  }
+  capacity_ = env_positive_u32("QIP_TRACE_BUF",
+                               static_cast<std::uint32_t>(capacity_));
   if (const char* path = std::getenv("QIP_TRACE_FILE")) {
     if (*path != '\0') {
       env_dump_path_ = path;

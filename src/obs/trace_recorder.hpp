@@ -15,8 +15,8 @@
 //     enable.
 //   * Deterministic: recording draws no randomness and never perturbs the
 //     simulation; enabling tracing must leave every protocol outcome
-//     byte-identical (tools/check_trace_invariance.cmake enforces this for
-//     all figure benches).
+//     byte-identical (the trace_invariance ctests, run by
+//     tools/check_invariance.cmake, enforce this for all figure benches).
 //
 // Two clocks share one trace: sim-time events carry the virtual clock
 // (exported on pid 1), wall-clock profile sections carry real microseconds
@@ -25,7 +25,8 @@
 //
 // Levers: QIP_TRACE_FILE=<path> enables tracing at startup and dumps at
 // process exit (extension .json → Chrome trace_event, else JSONL);
-// QIP_TRACE_BUF=<events> sizes the ring.  See docs/OBSERVABILITY.md.
+// QIP_TRACE_BUF=<events> sizes the ring (a positive integer; anything else
+// is a hard exit 2).  See docs/OBSERVABILITY.md.
 #pragma once
 
 #include <chrono>

@@ -379,12 +379,6 @@ class CalendarBackend final {
   }
 
   void resize(std::size_t nbuckets) {
-    // Env-gated diagnostic: one line per resize makes width-adaptation
-    // behaviour visible without a profiler (see docs/SIMULATOR.md).
-    if (std::getenv("QIP_SCHED_TRACE")) {
-      std::fprintf(stderr, "resize nbuckets=%zu count=%zu width=%g work=%llu served=%llu\n",
-                   nbuckets, count_, width_, (unsigned long long)work_, (unsigned long long)served_);
-    }
     // Collect every buried node, re-sample the bucket width, then relink.
     // The width estimator measures event density where the dequeue cursor
     // actually operates — the smallest pending times — not the global mean

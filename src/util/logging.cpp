@@ -1,20 +1,17 @@
 #include "util/logging.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "util/env.hpp"
 
 namespace qip {
 
 namespace {
 
-// QIP_LOG_SIMTIME=1 opts log lines into sim-time timestamps.  Read once:
-// the switch is a run-level decision, like QIP_TRACE_FILE.
+// QIP_LOG_SIMTIME=1 (or on/true) opts log lines into sim-time timestamps.
+// Read once: the switch is a run-level decision, like QIP_TRACE_FILE.
 bool simtime_requested() {
-  static const bool on = [] {
-    const char* v = std::getenv("QIP_LOG_SIMTIME");
-    return v != nullptr && std::strcmp(v, "1") == 0;
-  }();
+  static const bool on = env_bool("QIP_LOG_SIMTIME", false);
   return on;
 }
 

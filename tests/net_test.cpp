@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <optional>
+#include <unordered_map>
 
 #include "geom/point.hpp"
 #include "net/metrics.hpp"
@@ -110,11 +110,6 @@ TEST(Topology, CoincidentAndAdjacentNodes) {
   ASSERT_EQ(hops.size(), 2u);
   EXPECT_EQ(hops[0], (std::pair<NodeId, std::uint32_t>{1, 1}));
   EXPECT_EQ(hops[1], (std::pair<NodeId, std::uint32_t>{2, 1}));
-  // The uncached path agrees.
-  topo.set_cache_enabled(false);
-  EXPECT_EQ(topo.hop_distance(0, 1), 1u);
-  EXPECT_EQ(topo.hop_distance(0, 2), 1u);
-  EXPECT_EQ(topo.neighbors(0), (std::vector<NodeId>{1, 2}));
 }
 
 TEST(Topology, EpochAdvancesWithMutations) {
@@ -130,7 +125,6 @@ TEST(Topology, CacheReactsToMutations) {
   // The memoized answers must track every kind of mutation, including ones
   // interleaved with queries (lazy rebuild, per-node invalidation).
   auto topo = chain_topology();
-  ASSERT_TRUE(topo.cache_enabled());
   EXPECT_EQ(topo.components().size(), 1u);
   EXPECT_EQ(topo.neighbors(0), (std::vector<NodeId>{1}));
   topo.move_node(4, {0.0, 100.0});  // now adjacent to 0 (and still to 3? no)
@@ -148,7 +142,7 @@ TEST(Topology, CacheReactsToMutations) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: cached topology vs. brute-force oracle under mobility
+// Differential: topology vs. brute-force oracle under mobility and churn
 // ---------------------------------------------------------------------------
 
 using OracleMap = std::map<NodeId, Point>;
@@ -204,18 +198,53 @@ std::vector<std::pair<NodeId, std::uint32_t>> oracle_k_hop(
   return out;  // map order == sorted by id, matching k_hop_neighbors
 }
 
+/// BFS over id-sorted neighbor lists from `id`: every node it reaches
+/// (itself first, at hop 0) paired with its hop distance, in discovery
+/// order — the order Topology's BFS visitors must reproduce, since protocol
+/// tie-breaks observe it.
+std::vector<std::pair<NodeId, std::uint32_t>> oracle_bfs(const OracleMap& pts,
+                                                         NodeId id,
+                                                         double range) {
+  std::map<NodeId, std::uint32_t> dist{{id, 0}};
+  std::vector<std::pair<NodeId, std::uint32_t>> order{{id, 0}};
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const auto [u, d] = order[head];
+    for (NodeId v : oracle_neighbors(pts, u, range)) {
+      if (dist.emplace(v, d + 1).second) order.emplace_back(v, d + 1);
+    }
+  }
+  return order;
+}
+
 /// Hop distance from `id` to every node it reaches (itself at 0).
 std::map<NodeId, std::uint32_t> oracle_hops(const OracleMap& pts, NodeId id,
                                             double range) {
-  std::map<NodeId, std::uint32_t> dist{{id, 0}};
-  std::vector<NodeId> frontier{id};
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const NodeId u = frontier[head];
-    for (NodeId v : oracle_neighbors(pts, u, range)) {
-      if (dist.emplace(v, dist.at(u) + 1).second) frontier.push_back(v);
-    }
-  }
-  return dist;
+  const auto order = oracle_bfs(pts, id, range);
+  return {order.begin(), order.end()};
+}
+
+/// for_each_reachable must visit in the oracle's discovery order, and
+/// hop_distances_from must return a map whose iteration order equals that
+/// of one built by emplacing in that order.
+void expect_bfs_order_matches_oracle(const Topology& topo,
+                                     const OracleMap& pts, NodeId a,
+                                     double range, int step) {
+  const auto want = oracle_bfs(pts, a, range);
+  std::vector<std::pair<NodeId, std::uint32_t>> order;
+  topo.for_each_reachable(
+      a, [&](NodeId n, std::uint32_t d) { order.emplace_back(n, d); });
+  ASSERT_EQ(order, want) << "BFS discovery order diverged at step " << step
+                         << " from node " << a;
+  std::unordered_map<NodeId, std::uint32_t> want_map;
+  for (const auto& [n, d] : want) want_map.emplace(n, d);
+  const auto got_map = topo.hop_distances_from(a);
+  // Not just equal as sets: identical iteration order.
+  ASSERT_EQ((std::vector<std::pair<NodeId, std::uint32_t>>(got_map.begin(),
+                                                           got_map.end())),
+            (std::vector<std::pair<NodeId, std::uint32_t>>(want_map.begin(),
+                                                           want_map.end())))
+      << "hop_distances_from iteration order diverged at step " << step
+      << " from node " << a;
 }
 
 /// Back-to-back bounded queries must each match the oracle: an early-exit
@@ -249,23 +278,19 @@ void expect_queries_match_oracle(const Topology& topo, const OracleMap& pts,
 
 TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
   // A random-waypoint trace with churn (adds/removes), checked after every
-  // movement step against an O(n^2) oracle AND against a cache-disabled
-  // twin — including the hop-distance map's iteration order, which protocol
-  // tie-breaks can observe.
+  // movement step against an O(n^2) oracle — including BFS discovery order
+  // and the hop-distance map's iteration order, which protocol tie-breaks
+  // can observe.
   const double range = 180.0;
   const Rect area{1000.0, 1000.0};
   Rng rng(0xd1ff);
   Topology cached(area, range);
-  cached.set_cache_enabled(true);
-  Topology plain(area, range);
-  plain.set_cache_enabled(false);
   OracleMap pts;
   std::map<NodeId, Point> dest;
   NodeId next_id = 0;
 
   const auto add = [&](const Point& p) {
     cached.add_node(next_id, p);
-    plain.add_node(next_id, p);
     pts[next_id] = p;
     dest[next_id] = area.sample(rng);
     ++next_id;
@@ -278,7 +303,6 @@ TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
       if (p == dest[id]) dest[id] = area.sample(rng);
       p = advance(p, dest[id], 20.0);
       cached.move_node(id, p);
-      plain.move_node(id, p);
     }
     // Churn: occasional arrival or abrupt departure.
     if (rng.chance(0.2)) {
@@ -288,21 +312,21 @@ TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
                               static_cast<std::ptrdiff_t>(
                                   rng.index(pts.size())));
       cached.remove_node(victim->first);
-      plain.remove_node(victim->first);
       dest.erase(victim->first);
       pts.erase(victim);
     }
 
     // Every node's adjacency, every step.
     for (const auto& [id, p] : pts) {
-      ASSERT_EQ(cached.neighbors(id), oracle_neighbors(pts, id, range))
+      const auto want = oracle_neighbors(pts, id, range);
+      ASSERT_EQ(cached.neighbors(id), want)
           << "step " << step << " node " << id;
-      ASSERT_EQ(cached.neighbors_view(id), plain.neighbors_view(id));
+      ASSERT_EQ(cached.neighbors_view(id), want);
     }
     // The components partition, every step.
-    ASSERT_EQ(cached.components(), oracle_components(pts, range))
-        << "step " << step;
-    ASSERT_EQ(cached.components_view(), plain.components_view());
+    const auto want_comps = oracle_components(pts, range);
+    ASSERT_EQ(cached.components(), want_comps) << "step " << step;
+    ASSERT_EQ(cached.components_view(), want_comps);
     // Sampled k-hop sets, hop distances, and the map's emplace order.
     for (int probe = 0; probe < 3; ++probe) {
       const NodeId a =
@@ -316,43 +340,28 @@ TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
       const auto k = static_cast<std::uint32_t>(1 + rng.index(3));
       ASSERT_EQ(cached.k_hop_neighbors(a, k), oracle_k_hop(pts, a, k, range))
           << "step " << step << " node " << a << " k " << k;
-      ASSERT_EQ(cached.hop_distance(a, b), plain.hop_distance(a, b));
-      ASSERT_EQ(cached.component_of(a), plain.component_of(a));
-      ASSERT_EQ(cached.eccentricity(a), plain.eccentricity(a));
-      const auto dc = cached.hop_distances_from(a);
-      const auto dp = plain.hop_distances_from(a);
-      // Not just equal as sets: byte-identical iteration order.
-      std::vector<std::pair<NodeId, std::uint32_t>> seq_c(dc.begin(),
-                                                          dc.end());
-      std::vector<std::pair<NodeId, std::uint32_t>> seq_p(dp.begin(),
-                                                          dp.end());
-      ASSERT_EQ(seq_c, seq_p) << "iteration order diverged at step " << step;
+      const auto hops = oracle_hops(pts, a, range);
+      const auto it = hops.find(b);
+      ASSERT_EQ(cached.hop_distance(a, b),
+                it == hops.end() ? std::nullopt : std::optional(it->second))
+          << "step " << step << " pair " << a << "-" << b;
+      std::vector<NodeId> comp;
+      std::uint32_t ecc = 0;
+      for (const auto& [n, d] : hops) {
+        comp.push_back(n);
+        ecc = std::max(ecc, d);
+      }
+      ASSERT_EQ(cached.component_of(a), comp) << "step " << step;
+      ASSERT_EQ(cached.eccentricity(a), ecc) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_bfs_order_matches_oracle(cached, pts, a, range, step));
     }
   }
 }
 
-// A typo'd QIP_TOPO_INCR must not silently pick a code path: the escape
-// hatch is parsed strictly (src/harness/env.hpp), so "offf" is a hard
-// exit 2, not a fallback to either mode.
-TEST(TopologyEnvDeathTest, MalformedIncrSwitchExitsTwo) {
-  setenv("QIP_TOPO_INCR", "offf", 1);
-  EXPECT_EXIT(Topology(Rect{100.0, 100.0}, 30.0),
-              ::testing::ExitedWithCode(2), "invalid QIP_TOPO_INCR");
-  setenv("QIP_TOPO_INCR", "2", 1);
-  EXPECT_EXIT(Topology(Rect{100.0, 100.0}, 30.0),
-              ::testing::ExitedWithCode(2), "invalid QIP_TOPO_INCR");
-  // The documented spellings parse.
-  setenv("QIP_TOPO_INCR", "off", 1);
-  { Topology t(Rect{100.0, 100.0}, 30.0); }
-  setenv("QIP_TOPO_INCR", "on", 1);
-  { Topology t(Rect{100.0, 100.0}, 30.0); }
-  unsetenv("QIP_TOPO_INCR");
-}
-
 TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
   // 10k churn steps (adds, removes — including burst departures that sever
-  // paths through the removed nodes — and moves) against the O(n^2) oracle
-  // and against a QIP_TOPO_INCR=off twin that full-rebuilds every epoch.
+  // paths through the removed nodes — and moves) against the O(n^2) oracle.
   // Components are compared exactly every step; k-hop sets and BFS
   // discovery order are sampled.  This is the long-haul guard for the
   // incremental CSR patch + components repair (docs/SCALE.md).
@@ -360,23 +369,18 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
   const Rect area{1000.0, 1000.0};
   Rng rng(0x10c4);
   Topology incr(area, range);
-  incr.set_incremental_enabled(true);
-  Topology full(area, range);
-  full.set_incremental_enabled(false);
   OracleMap pts;
   std::map<NodeId, Point> dest;
   NodeId next_id = 0;
 
   const auto add = [&](const Point& p) {
     incr.add_node(next_id, p);
-    full.add_node(next_id, p);
     pts[next_id] = p;
     dest[next_id] = area.sample(rng);
     ++next_id;
   };
   const auto remove = [&](NodeId id) {
     incr.remove_node(id);
-    full.remove_node(id);
     dest.erase(id);
     pts.erase(id);
   };
@@ -392,7 +396,6 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
       if (p == dest[id]) dest[id] = area.sample(rng);
       p = advance(p, dest[id], 20.0);
       incr.move_node(id, p);
-      full.move_node(id, p);
     }
     if (rng.chance(0.15)) add(area.sample(rng));
     if (rng.chance(0.15) && pts.size() > 16) remove(random_id());
@@ -404,10 +407,9 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
     }
 
     // Exact components vs the oracle, every step.
-    ASSERT_EQ(incr.components(), oracle_components(pts, range))
-        << "step " << step;
-    ASSERT_EQ(incr.components_view(), full.components_view())
-        << "step " << step;
+    const auto want_comps = oracle_components(pts, range);
+    ASSERT_EQ(incr.components(), want_comps) << "step " << step;
+    ASSERT_EQ(incr.components_view(), want_comps) << "step " << step;
 
     // Sampled adjacency, k-hop sets, and BFS discovery order.
     const NodeId a = random_id();
@@ -416,13 +418,8 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
     const auto k = static_cast<std::uint32_t>(1 + rng.index(3));
     ASSERT_EQ(incr.k_hop_neighbors(a, k), oracle_k_hop(pts, a, k, range))
         << "step " << step << " node " << a << " k " << k;
-    std::vector<std::pair<NodeId, std::uint32_t>> order_incr, order_full;
-    incr.for_each_reachable(
-        a, [&](NodeId n, std::uint32_t d) { order_incr.emplace_back(n, d); });
-    full.for_each_reachable(
-        a, [&](NodeId n, std::uint32_t d) { order_full.emplace_back(n, d); });
-    ASSERT_EQ(order_incr, order_full)
-        << "BFS discovery order diverged at step " << step;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_bfs_order_matches_oracle(incr, pts, a, range, step));
 
     // reachable() answers from the cached partition: random pairs (often
     // in different components after a burst) and the from == to case.
@@ -441,7 +438,6 @@ TEST(TopologyDifferential, IncrementalMatchesOracleOverLongChurn) {
   // dwarf full rebuilds over 10k steps.
   EXPECT_GT(incr.csr_incremental_patches(), incr.csr_full_rebuilds());
   EXPECT_GT(incr.component_repairs(), 0u);
-  EXPECT_EQ(full.csr_incremental_patches(), 0u);
 }
 
 TEST(TopologyDifferential, QueriesSurviveIdGrowthAndCompaction) {

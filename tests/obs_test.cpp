@@ -127,6 +127,23 @@ TEST(TraceRecorder, RingWrapsOldestFirst) {
   rec.clear();
 }
 
+// A typo'd QIP_TRACE_BUF ("64k", "abc") is a hard exit 2, never a misread
+// ring size.  The process recorder latches its env config on first access,
+// so each check re-executes the binary for a fresh latch.
+TEST(TraceRecorderEnvDeathTest, MalformedTraceBufExitsTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"64k", "abc", "0", "-5", ""}) {
+    setenv("QIP_TRACE_BUF", bad, 1);
+    EXPECT_EXIT((void)obs::process_recorder(), ::testing::ExitedWithCode(2),
+                "invalid QIP_TRACE_BUF")
+        << "QIP_TRACE_BUF=" << bad;
+  }
+  setenv("QIP_TRACE_BUF", "4096", 1);
+  EXPECT_EXIT(std::exit(obs::process_recorder().capacity() == 4096 ? 0 : 1),
+              ::testing::ExitedWithCode(0), "");
+  unsetenv("QIP_TRACE_BUF");
+}
+
 // ---------------------------------------------------------------------------
 // Exporters and read_trace
 // ---------------------------------------------------------------------------

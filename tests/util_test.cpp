@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 
@@ -309,6 +310,32 @@ TEST(Logging, LevelFilters) {
   logger.set_level(before);
   EXPECT_EQ(sink.str().find("hidden"), std::string::npos);
   EXPECT_NE(sink.str().find("visible"), std::string::npos);
+}
+
+// A typo'd QIP_LOG_SIMTIME must not silently mean "off": the switch parses
+// strictly (util/env.hpp).  The logger latches it on the first timestamped
+// line, so each check re-executes the binary for a fresh latch.
+TEST(LoggingEnvDeathTest, MalformedSimtimeSwitchExitsTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::ostringstream sink;
+  Logger logger;
+  logger.set_sink(&sink);
+  logger.set_time_source(&sink, [](const void*) { return 1.5; });
+  for (const char* bad : {"yes", "2", ""}) {
+    setenv("QIP_LOG_SIMTIME", bad, 1);
+    EXPECT_EXIT(logger.write(LogLevel::kWarn, "x"),
+                ::testing::ExitedWithCode(2), "invalid QIP_LOG_SIMTIME")
+        << "QIP_LOG_SIMTIME=" << bad;
+  }
+  // Every documented spelling of "on" enables timestamps, not just "1".
+  setenv("QIP_LOG_SIMTIME", "on", 1);
+  EXPECT_EXIT(
+      {
+        logger.write(LogLevel::kWarn, "x");
+        std::exit(sink.str() == "[WARN t=1.500] x\n" ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  unsetenv("QIP_LOG_SIMTIME");
 }
 
 }  // namespace
