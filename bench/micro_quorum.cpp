@@ -60,7 +60,7 @@ static void BM_PolicyThreshold(benchmark::State& state) {
     benchmark::DoNotOptimize(policy.threshold(1 + (g++ % 16), (g & 1) != 0));
   }
 }
-BENCHMARK(BM_PolicyThreshold)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_PolicyThreshold)->Arg(0)->Arg(1);
 
 static void BM_SlicesIsQuorum(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
@@ -89,7 +89,7 @@ static void BM_CheckerExhaustive(benchmark::State& state) {
     benchmark::DoNotOptimize(check_intersection_exhaustive(policy, 6));
   }
 }
-BENCHMARK(BM_CheckerExhaustive)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CheckerExhaustive)->Arg(0)->Arg(1);
 
 static void BM_CheckerRandom(benchmark::State& state) {
   const QuorumPolicy& policy = quorum_policy(QuorumBackend::kDynamicLinear);

@@ -21,21 +21,21 @@ namespace {
 
 constexpr std::uint64_t kPoolSize = 1024;
 
-std::unique_ptr<QipEngine> make_qip(World& w, bool periodic_updates = true) {
-  QipParams p;
+/// A QIP engine on `p` with the figure pool and `opt`'s quorum rule.
+std::unique_ptr<QipEngine> make_qip(World& w, const ExperimentOptions& opt,
+                                    QipParams p = {}) {
   p.pool_size = kPoolSize;
-  p.periodic_location_update = periodic_updates;
+  p.quorum = opt.quorum;
   auto proto = std::make_unique<QipEngine>(w.transport(), w.rng(), p);
   proto->start_hello();
   return proto;
 }
 
-std::unique_ptr<QipEngine> make_qip_params(World& w, const QipParams& base) {
-  QipParams p = base;
-  p.pool_size = kPoolSize;
-  auto proto = std::make_unique<QipEngine>(w.transport(), w.rng(), p);
-  proto->start_hello();
-  return proto;
+/// §IV-C.1's lighter upon-leave location update (figures 10 and 11).
+QipParams upon_leave_params() {
+  QipParams p;
+  p.periodic_location_update = false;
+  return p;
 }
 
 std::unique_ptr<ManetConf> make_manetconf(World& w) {
@@ -164,8 +164,9 @@ FigureData fig5_config_latency(const ExperimentOptions& opt) {
         const auto nn = static_cast<std::uint32_t>(fig.x[xi]);
         const std::uint64_t seed = derive_cell_seed(opt.seed + 5, xi, r);
         CellSamples out(2);
-        out[0].push_back(measure_latency(
-            150.0, nn, seed, ctx, [](World& w) { return make_qip(w); }));
+        out[0].push_back(
+            measure_latency(150.0, nn, seed, ctx,
+                            [&](World& w) { return make_qip(w, opt); }));
         out[1].push_back(measure_latency(
             150.0, nn, seed, ctx, [](World& w) { return make_manetconf(w); }));
         return out;
@@ -185,8 +186,9 @@ FigureData fig6_latency_vs_range(const ExperimentOptions& opt) {
       [&](std::size_t xi, std::uint32_t r, SimContext& ctx) {
         const std::uint64_t seed = derive_cell_seed(opt.seed + 6, xi, r);
         CellSamples out(2);
-        out[0].push_back(measure_latency(
-            fig.x[xi], 100, seed, ctx, [](World& w) { return make_qip(w); }));
+        out[0].push_back(
+            measure_latency(fig.x[xi], 100, seed, ctx,
+                            [&](World& w) { return make_qip(w, opt); }));
         out[1].push_back(
             measure_latency(fig.x[xi], 100, seed, ctx,
                             [](World& w) { return make_manetconf(w); }));
@@ -213,7 +215,7 @@ FigureData fig7_latency_grid(const ExperimentOptions& opt) {
           const std::uint64_t seed = derive_cell_seed(
               opt.seed + 7 + static_cast<std::uint64_t>(tr), xi, r);
           out[ti].push_back(measure_latency(
-              tr, nn, seed, ctx, [](World& w) { return make_qip(w); }));
+              tr, nn, seed, ctx, [&](World& w) { return make_qip(w, opt); }));
         }
         return out;
       });
@@ -279,7 +281,7 @@ FigureData fig8_config_overhead(const ExperimentOptions& opt) {
         CellSamples out(2);
         out[0].push_back(
             measure_overhead(nn, seed, ctx,
-                             [](World& w) { return make_qip(w); })
+                             [&](World& w) { return make_qip(w, opt); })
                 .config_per_node);
         out[1].push_back(
             measure_overhead(nn, seed, ctx,
@@ -305,7 +307,7 @@ FigureData fig9_departure_overhead(const ExperimentOptions& opt) {
         CellSamples out(2);
         out[0].push_back(
             measure_overhead(nn, seed, ctx,
-                             [](World& w) { return make_qip(w); })
+                             [&](World& w) { return make_qip(w, opt); })
                 .departure_per_node);
         out[1].push_back(
             measure_overhead(nn, seed, ctx,
@@ -379,11 +381,13 @@ FigureData fig10_maintenance(const ExperimentOptions& opt) {
         CellSamples out(3);
         out[0].push_back(
             measure_maintenance(nn, 20.0, seed, ctx,
-                                [](World& w) { return make_qip(w, true); })
+                                [&](World& w) { return make_qip(w, opt); })
                 .per_node);
         out[1].push_back(
             measure_maintenance(nn, 20.0, seed, ctx,
-                                [](World& w) { return make_qip(w, false); })
+                                [&](World& w) {
+                                  return make_qip(w, opt, upon_leave_params());
+                                })
                 .per_node);
         out[2].push_back(
             measure_maintenance(nn, 20.0, seed, ctx,
@@ -409,11 +413,13 @@ FigureData fig11_speed(const ExperimentOptions& opt) {
         CellSamples out(2);
         out[0].push_back(
             measure_maintenance(150, fig.x[xi], seed, ctx,
-                                [](World& w) { return make_qip(w, true); })
+                                [&](World& w) { return make_qip(w, opt); })
                 .movement_total);
         out[1].push_back(
             measure_maintenance(150, fig.x[xi], seed, ctx,
-                                [](World& w) { return make_qip(w, false); })
+                                [&](World& w) {
+                                  return make_qip(w, opt, upon_leave_params());
+                                })
                 .movement_total);
         return out;
       });
@@ -450,7 +456,7 @@ FigureData fig12_quorum_space(const ExperimentOptions& opt) {
           double qip_space = 0.0, ctree_space = 0.0;
           {
             World w = make_world(tr, 0.0, seed, ctx);
-            auto proto = make_qip(w);
+            auto proto = make_qip(w, opt);
             Driver d(w, *proto, dopt);
             d.join(nn);
             w.run_for(5.0);
@@ -500,7 +506,7 @@ FigureData fig13_info_loss(const ExperimentOptions& opt) {
         // QDSet survives (at least one quorum remains, §VI-D.2).
         {
           World w = make_world(150.0, 20.0, seed, ctx);
-          auto proto = make_qip(w);
+          auto proto = make_qip(w, opt);
           Driver d(w, *proto);
           d.join(nn);
           w.run_for(5.0);
@@ -588,7 +594,7 @@ FigureData fig14_reclamation(const ExperimentOptions& opt) {
           World w = make_world(150.0, 20.0, seed, ctx);
           QipParams qp;
           qp.reclaim_probe = probe;
-          auto proto = make_qip_params(w, qp);
+          auto proto = make_qip(w, opt, qp);
           Driver d(w, *proto);
           d.join(nn);
           w.run_for(5.0);
@@ -645,7 +651,7 @@ FigureData fig14_reclamation(const ExperimentOptions& opt) {
 
 LayoutStats fig4_layout(std::uint64_t seed, std::uint32_t nn, double tr) {
   World w = make_world(tr, 0.0, seed);
-  auto proto = make_qip(w);
+  auto proto = make_qip(w, ExperimentOptions{});
   DriverOptions dopt;
   dopt.mobility = false;
   Driver d(w, *proto, dopt);

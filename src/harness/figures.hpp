@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "quorum/quorum_policy.hpp"
 #include "util/table.hpp"
 
 namespace qip {
@@ -36,6 +37,9 @@ struct ExperimentOptions {
   /// runs on its own SimContext and results merge in deterministic order,
   /// so the output is byte-identical for every value — including 1.
   std::uint32_t jobs = 1;
+  /// Quorum rule of every QIP engine the figure builds (the baselines have
+  /// no quorums).  The paper's figures use the default.
+  QuorumBackend quorum = QuorumBackend::kDynamicLinear;
 };
 
 /// Fig. 5 — configuration latency (hops) vs network size, tr = 150 m:

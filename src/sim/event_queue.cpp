@@ -2,24 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 
 namespace qip {
-
-SchedulerKind scheduler_kind_from_env() {
-  const char* env = std::getenv("QIP_SCHED");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "calendar") == 0) {
-    return SchedulerKind::kCalendar;
-  }
-  if (std::strcmp(env, "heap") == 0) return SchedulerKind::kHeap;
-  std::fprintf(stderr,
-               "QIP_SCHED=%s is not a scheduler backend "
-               "(expected \"heap\" or \"calendar\")\n",
-               env);
-  std::exit(2);
-}
 
 namespace detail {
 
@@ -494,8 +479,21 @@ struct EventQueueCore {
   Key peek_key() {
     return kind == SchedulerKind::kCalendar ? calendar.peek() : heap.peek();
   }
+  /// Every key leaving the backend, live or tombstoned, must follow the
+  /// previous one in (time, seq) — the heap reference's order — unless it
+  /// was queued after that one left: next_time() skims tombstones that may
+  /// lie past the clock, and a later event may then sort below them.
   Key pop_key() {
-    return kind == SchedulerKind::kCalendar ? calendar.pop() : heap.pop();
+    const Key k =
+        kind == SchedulerKind::kCalendar ? calendar.pop() : heap.pop();
+    QIP_ASSERT_MSG(k.seq >= seq_at_last_out ||
+                       key_less(last_out.time, last_out.seq, k.time, k.seq),
+                   "event queue popped (" << k.time << ", " << k.seq
+                                          << ") after (" << last_out.time
+                                          << ", " << last_out.seq << ")");
+    last_out = k;
+    seq_at_last_out = next_seq;
+    return k;
   }
   std::size_t key_count() const {
     return kind == SchedulerKind::kCalendar ? calendar.size() : heap.size();
@@ -533,6 +531,9 @@ struct EventQueueCore {
   std::uint32_t schedule_slot(SimTime at, EventFn&& fn) {
     QIP_ASSERT_MSG(static_cast<bool>(fn), "scheduling a null event");
     QIP_ASSERT_MSG(std::isfinite(at), "scheduling at non-finite time " << at);
+    QIP_ASSERT_MSG(at >= popped_time,
+                   "scheduling at " << at << " before the last popped event at "
+                                    << popped_time);
     const std::uint32_t idx = acquire_slot();
     Slot& s = slots[idx];
     s.time = at;
@@ -561,6 +562,10 @@ struct EventQueueCore {
   std::size_t live = 0;
   std::size_t dead = 0;  ///< tombstones still buried in the backend
   std::uint64_t next_seq = 0;
+  // Order checks (pop_key, schedule_slot).
+  Key last_out{0.0, 0, 0};            ///< last key to leave the backend
+  std::uint64_t seq_at_last_out = 0;  ///< next_seq when it left
+  SimTime popped_time = -std::numeric_limits<SimTime>::infinity();
 };
 
 }  // namespace detail
@@ -590,8 +595,6 @@ EventQueue::EventQueue(SchedulerKind kind)
 
 EventQueue::~EventQueue() = default;
 
-SchedulerKind EventQueue::backend() const { return core_->kind; }
-
 EventHandle EventQueue::schedule(SimTime at, EventFn fn) {
   detail::EventQueueCore& core = *core_;
   const std::uint32_t idx = core.schedule_slot(at, std::move(fn));
@@ -620,6 +623,7 @@ EventQueue::Fired EventQueue::pop() {
   const detail::Key key = core.pop_key();
   detail::Slot& s = core.slots[key.slot];
   Fired fired{s.time, std::move(s.fn)};
+  core.popped_time = s.time;
   --core.live;
   core.release_slot(key.slot);
   return fired;

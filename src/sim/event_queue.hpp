@@ -13,11 +13,19 @@
 //                O(1) amortized enqueue/dequeue at 10^6 pending events.
 //
 // Both produce bit-identical pop order ((time, seq) ascending), verified by
-// a differential fuzz test; QIP_SCHED=heap|calendar selects one process-wide
-// (calendar is the default).  Cancellation is O(1): the slot is tombstoned,
-// its callable destroyed *eagerly* — a cancelled retransmit timer must not
-// keep its captures alive while the tombstone is still buried — and the key
-// is dropped lazily when it surfaces at the backend's minimum.
+// a differential fuzz test.  The simulator always runs the calendar queue;
+// the heap is the reference that tests and the micro bench build
+// explicitly.  The order itself is checked on every run: scheduling before
+// the last popped time is an invariant violation, and every key that leaves
+// the backend (a live pop or a skimmed tombstone) must be strictly greater
+// in (time, seq) than the one before, unless it was queued after that one
+// left (a tombstone skimmed by next_time() may lie past the clock).  Because
+// seq only grows, that is exactly the heap's order.
+//
+// Cancellation is O(1): the slot is tombstoned, its callable destroyed
+// *eagerly* — a cancelled retransmit timer must not keep its captures alive
+// while the tombstone is still buried — and the key is dropped lazily when
+// it surfaces at the backend's minimum.
 #pragma once
 
 #include <cstdint>
@@ -32,13 +40,8 @@ namespace qip {
 /// Simulation clock, in seconds.
 using SimTime = double;
 
-/// Scheduler backend flavor.  Resolved once per queue at construction.
+/// Scheduler backend flavor, fixed per queue at construction.
 enum class SchedulerKind { kHeap, kCalendar };
-
-/// Reads QIP_SCHED (unset → calendar).  A malformed value is a hard error
-/// (stderr + exit 2), matching the harness's strict env parsing: silently
-/// running the wrong backend would invalidate a benchmark without a trace.
-SchedulerKind scheduler_kind_from_env();
 
 namespace detail {
 struct EventQueueCore;
@@ -72,15 +75,13 @@ class EventHandle {
 
 class EventQueue {
  public:
-  /// A queue on the given backend; the default consults QIP_SCHED.
-  explicit EventQueue(SchedulerKind kind = scheduler_kind_from_env());
+  explicit EventQueue(SchedulerKind kind);
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  SchedulerKind backend() const;
-
-  /// Schedules `fn` at absolute time `at` (must be finite).
+  /// Schedules `fn` at absolute time `at` (finite, and no earlier than the
+  /// last popped event's time).
   EventHandle schedule(SimTime at, EventFn fn);
 
   /// Fire-and-forget schedule: identical ordering (the same sequence counter

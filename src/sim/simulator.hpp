@@ -2,7 +2,9 @@
 //
 // All protocol logic runs as event callbacks; the simulator is strictly
 // single-threaded and deterministic.  Time only moves forward; scheduling
-// into the past is an invariant violation.
+// into the past is an invariant violation.  The queue is always the
+// calendar backend (sim/event_queue.hpp), which checks its own (time, seq)
+// pop order on every run.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +30,6 @@ class Simulator {
   void set_context(SimContext* ctx) { ctx_ = ctx; }
 
   SimTime now() const { return now_; }
-  /// Scheduler backend this simulator's queue runs on (QIP_SCHED).
-  SchedulerKind scheduler() const { return queue_.backend(); }
   std::uint64_t events_executed() const { return executed_; }
   bool idle() const { return queue_.empty(); }
   /// Upper bound: includes cancelled entries still buried in the heap.
@@ -98,7 +98,7 @@ class Simulator {
   void run_probes();
 
   SimContext* ctx_ = nullptr;
-  EventQueue queue_;
+  EventQueue queue_{SchedulerKind::kCalendar};
   SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;
   bool stopping_ = false;

@@ -35,6 +35,10 @@ std::uint32_t parse_u32(const char* what, const char* text);
 /// Parses a command-line value with the same strictness as env_u64.
 std::uint64_t parse_u64(const char* what, const char* text);
 
+/// Parses a command-line value as a finite decimal number ("1e3" and "-2.5"
+/// included; "", "12x", "nan" and "inf" rejected) → stderr + exit(2).
+double parse_finite_double(const char* what, const char* text);
+
 /// Reads `name` as a switch: on/1/true enable, off/0/false disable
 /// (case-sensitive, matching the documented spellings).  Unset → fallback;
 /// anything else → stderr diagnostic + exit(2).  A typo'd switch silently

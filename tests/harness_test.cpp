@@ -11,6 +11,7 @@
 #include "harness/parallel.hpp"
 #include "harness/seed.hpp"
 #include "harness/world.hpp"
+#include "util/env.hpp"
 
 namespace qip {
 namespace {
@@ -139,6 +140,21 @@ TEST(EnvParseDeathTest, MalformedSeedRejected) {
   const char* argv[] = {"bench", "--seed", "bogus"};
   EXPECT_EXIT(resolve_seed(1, 3, argv, false), ::testing::ExitedWithCode(2),
               "invalid --seed");
+}
+
+// qip-sim's numeric flags go through these parsers: "12x", "fast" or "1x"
+// must stop the run, not silently read as 12, 0 or 1.
+TEST(EnvParseDeathTest, MalformedNumbersRejected) {
+  EXPECT_EXIT(parse_u32("--churn", "12x"), ::testing::ExitedWithCode(2),
+              "invalid --churn value '12x'");
+  for (const char* bad : {"fast", "1x", "", "nan", "inf", "1e999"}) {
+    EXPECT_EXIT(parse_finite_double("--speed", bad),
+                ::testing::ExitedWithCode(2), "invalid --speed value")
+        << bad;
+  }
+  EXPECT_DOUBLE_EQ(parse_finite_double("--speed", "2.5"), 2.5);
+  EXPECT_DOUBLE_EQ(parse_finite_double("--abrupt", "-0.25"), -0.25);
+  EXPECT_DOUBLE_EQ(parse_finite_double("--duration", "1e3"), 1000.0);
 }
 
 TEST(Figures, Fig4LayoutProducesClusters) {

@@ -279,8 +279,8 @@ void expect_queries_match_oracle(const Topology& topo, const OracleMap& pts,
 TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
   // A random-waypoint trace with churn (adds/removes), checked after every
   // movement step against an O(n^2) oracle — including BFS discovery order
-  // and the hop-distance map's iteration order, which protocol tie-breaks
-  // can observe.
+  // from every node and the hop-distance map's iteration order, which
+  // protocol tie-breaks can observe.
   const double range = 180.0;
   const Rect area{1000.0, 1000.0};
   Rng rng(0xd1ff);
@@ -323,6 +323,20 @@ TEST(TopologyDifferential, MatchesOracleUnderMobilityTrace) {
           << "step " << step << " node " << id;
       ASSERT_EQ(cached.neighbors_view(id), want);
     }
+    // BFS discovery order from every node, every step, on the patched
+    // topology and on one built from scratch (a full CSR rebuild).  A
+    // node's depth-1 visits are its CSR row in row order, so this pins the
+    // neighbour order of every row on both paths; the trace alone triggers
+    // few full rebuilds.
+    Topology rebuilt(area, range);
+    for (const auto& [id, p] : pts) rebuilt.add_node(id, p);
+    for (const auto& [id, p] : pts) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_bfs_order_matches_oracle(cached, pts, id, range, step));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_bfs_order_matches_oracle(rebuilt, pts, id, range, step));
+    }
+    ASSERT_EQ(rebuilt.csr_full_rebuilds(), 1u);
     // The components partition, every step.
     const auto want_comps = oracle_components(pts, range);
     ASSERT_EQ(cached.components(), want_comps) << "step " << step;

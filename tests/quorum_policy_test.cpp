@@ -1,10 +1,9 @@
 // Tests for the pluggable quorum-backend layer: backend parsing, counting
-// and set-form equivalences across majority / dynamic_linear / slices,
-// federated slice semantics, enumeration-cap rejection, and the
-// property-based intersection checker (docs/QUORUM.md).
+// and set-form equivalences of majority, dynamic_linear and flat-majority
+// federated slices, federated slice semantics, enumeration-cap rejection,
+// and the property-based intersection checker (docs/QUORUM.md).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -45,7 +44,7 @@ TEST(QuorumBackend, ParseAcceptsExactNamesOnly) {
   EXPECT_EQ(parse_quorum_backend("majority"), QuorumBackend::kMajority);
   EXPECT_EQ(parse_quorum_backend("dynamic_linear"),
             QuorumBackend::kDynamicLinear);
-  EXPECT_EQ(parse_quorum_backend("slices"), QuorumBackend::kSlices);
+  EXPECT_FALSE(parse_quorum_backend("slices").has_value());
   EXPECT_FALSE(parse_quorum_backend(nullptr).has_value());
   EXPECT_FALSE(parse_quorum_backend("").has_value());
   EXPECT_FALSE(parse_quorum_backend("Majority").has_value());
@@ -54,30 +53,12 @@ TEST(QuorumBackend, ParseAcceptsExactNamesOnly) {
 }
 
 TEST(QuorumBackend, NamesRoundTrip) {
-  for (QuorumBackend b : {QuorumBackend::kMajority,
-                          QuorumBackend::kDynamicLinear,
-                          QuorumBackend::kSlices}) {
+  for (QuorumBackend b :
+       {QuorumBackend::kMajority, QuorumBackend::kDynamicLinear}) {
     EXPECT_EQ(parse_quorum_backend(to_string(b)), b);
     EXPECT_EQ(quorum_policy(b).kind(), b);
     EXPECT_STREQ(quorum_policy(b).name(), to_string(b));
   }
-}
-
-TEST(QuorumBackendDeathTest, MalformedEnvExits2) {
-  setenv("QIP_QUORUM", "consensus", 1);
-  EXPECT_EXIT(quorum_backend_from_env(), ::testing::ExitedWithCode(2),
-              "not a quorum backend");
-  unsetenv("QIP_QUORUM");
-}
-
-TEST(QuorumBackend, UnsetEnvDefaultsToDynamicLinear) {
-  unsetenv("QIP_QUORUM");
-  EXPECT_EQ(quorum_backend_from_env(), QuorumBackend::kDynamicLinear);
-  setenv("QIP_QUORUM", "", 1);
-  EXPECT_EQ(quorum_backend_from_env(), QuorumBackend::kDynamicLinear);
-  setenv("QIP_QUORUM", "slices", 1);
-  EXPECT_EQ(quorum_backend_from_env(), QuorumBackend::kSlices);
-  unsetenv("QIP_QUORUM");
 }
 
 // ---------------------------------------------------------------------------
@@ -87,12 +68,17 @@ TEST(QuorumBackend, UnsetEnvDefaultsToDynamicLinear) {
 TEST(QuorumPolicyEquivalence, CountingFormsAgree) {
   const auto& maj = quorum_policy(QuorumBackend::kMajority);
   const auto& dl = quorum_policy(QuorumBackend::kDynamicLinear);
-  const auto& sl = quorum_policy(QuorumBackend::kSlices);
   for (std::uint32_t n = 1; n <= 20; ++n) {
-    // Flat-majority slices collapse to majority counting, always.
     EXPECT_EQ(maj.threshold(n, false), n / 2 + 1);
-    EXPECT_EQ(sl.threshold(n, false), maj.threshold(n, false));
-    EXPECT_EQ(sl.threshold(n, true), maj.threshold(n, true));
+    // Flat-majority slices collapse to majority counting: the first k ids
+    // form a quorum iff k reaches the majority threshold.
+    const auto u = universe(n);
+    const SliceConfig flat = SliceConfig::flat_majority(u);
+    for (std::uint32_t k = 0; k <= n; ++k) {
+      const std::vector<std::uint32_t> first_k(u.begin(), u.begin() + k);
+      EXPECT_EQ(flat.is_quorum(first_k), k >= maj.threshold(n, false))
+          << "n=" << n << " k=" << k;
+    }
     // Dynamic linear agrees except on the even-group distinguished discount.
     EXPECT_EQ(dl.threshold(n, false), maj.threshold(n, false));
     EXPECT_EQ(dl.threshold(n, true), quorum_threshold(n, true));
@@ -103,33 +89,31 @@ TEST(QuorumPolicyEquivalence, CountingFormsAgree) {
 }
 
 TEST(QuorumPolicyEquivalence, SetFormsAgreeWithoutDistinguished) {
-  // majority ≡ dynamic_linear(distinguished = ∅) ≡ slices(flat-majority),
+  // majority ≡ dynamic_linear(distinguished = ∅) ≡ flat-majority slices,
   // on every subset of every small universe.
   const auto& maj = quorum_policy(QuorumBackend::kMajority);
   const auto& dl = quorum_policy(QuorumBackend::kDynamicLinear);
-  const auto& sl = quorum_policy(QuorumBackend::kSlices);
   for (std::uint32_t n = 1; n <= 7; ++n) {
     const auto u = universe(n);
+    const SliceConfig flat = SliceConfig::flat_majority(u);
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
       const auto s = subset_of(mask, u);
       const bool by_majority = maj.is_quorum(u, s, std::nullopt);
       EXPECT_EQ(dl.is_quorum(u, s, std::nullopt), by_majority)
           << "n=" << n << " mask=" << mask;
-      EXPECT_EQ(sl.is_quorum(u, s, std::nullopt), by_majority)
+      EXPECT_EQ(flat.is_quorum(s), by_majority)
           << "n=" << n << " mask=" << mask;
-      // slices ≡ majority even in the presence of a distinguished node.
-      EXPECT_EQ(sl.is_quorum(u, s, u.front()), by_majority);
     }
   }
 }
 
 TEST(QuorumPolicyEquivalence, MaterializedSystemsCoverIdentically) {
   const auto& maj = quorum_policy(QuorumBackend::kMajority);
-  const auto& sl = quorum_policy(QuorumBackend::kSlices);
   for (std::uint32_t n = 1; n <= 7; ++n) {
     const auto u = universe(n);
     const QuorumSystem a = maj.materialize(u, std::nullopt);
-    const QuorumSystem b = sl.materialize(u, std::nullopt);
+    const QuorumSystem b =
+        QuorumSystem::from_slices(SliceConfig::flat_majority(u), u);
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
       const auto s = subset_of(mask, u);
       EXPECT_EQ(a.covers_quorum(s), b.covers_quorum(s))
@@ -158,9 +142,8 @@ TEST(QuorumPolicyEquivalence, DynamicLinearMatchesFreeFunctions) {
 }
 
 TEST(QuorumPolicy, ReadSystemsIntersectWriteSystems) {
-  for (QuorumBackend b : {QuorumBackend::kMajority,
-                          QuorumBackend::kDynamicLinear,
-                          QuorumBackend::kSlices}) {
+  for (QuorumBackend b :
+       {QuorumBackend::kMajority, QuorumBackend::kDynamicLinear}) {
     const auto& policy = quorum_policy(b);
     for (std::uint32_t n = 1; n <= 7; ++n) {
       const auto u = universe(n);
@@ -310,9 +293,8 @@ TEST(QuorumSystemCaps, FixedSizeRejectsBadK) {
 // ---------------------------------------------------------------------------
 
 TEST(IntersectionChecker, ExhaustivePassesOnAllBackends) {
-  for (QuorumBackend b : {QuorumBackend::kMajority,
-                          QuorumBackend::kDynamicLinear,
-                          QuorumBackend::kSlices}) {
+  for (QuorumBackend b :
+       {QuorumBackend::kMajority, QuorumBackend::kDynamicLinear}) {
     for (std::uint32_t n = 1; n <= 6; ++n) {
       const IntersectionReport r =
           check_intersection_exhaustive(quorum_policy(b), n);
@@ -344,9 +326,8 @@ TEST(IntersectionChecker, DynamicLinearReachesHalfSizeViews) {
 }
 
 TEST(IntersectionChecker, RandomizedPassesOnLargerUniverses) {
-  for (QuorumBackend b : {QuorumBackend::kMajority,
-                          QuorumBackend::kDynamicLinear,
-                          QuorumBackend::kSlices}) {
+  for (QuorumBackend b :
+       {QuorumBackend::kMajority, QuorumBackend::kDynamicLinear}) {
     const IntersectionReport r = check_intersection_random(
         quorum_policy(b), /*universe_size=*/14, /*seed=*/0x5eed,
         /*trials=*/64);
@@ -386,7 +367,7 @@ TEST(IntersectionChecker, RefutesDisjointTrustCliques) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence: majority vs slices, pop for pop
+// Engine-level default
 // ---------------------------------------------------------------------------
 
 struct ScenarioOutcome {
@@ -394,12 +375,10 @@ struct ScenarioOutcome {
   std::uint64_t protocol_hops = 0;
 };
 
-ScenarioOutcome run_scenario(QuorumBackend backend) {
+ScenarioOutcome run_scenario(QipParams qp) {
   WorldParams wp;
   World world(wp, /*seed=*/77);
-  QipParams qp;
   qp.pool_size = 256;
-  qp.quorum = backend;
   QipEngine proto(world.transport(), world.rng(), qp);
   proto.start_hello();
   DriverOptions dopt;
@@ -423,23 +402,16 @@ ScenarioOutcome run_scenario(QuorumBackend backend) {
   return out;
 }
 
-TEST(QuorumPolicyEquivalence, EngineMajorityAndSlicesPopForPop) {
-  // Flat-majority slices are count-equivalent to strict majority, so the
-  // two backends must drive the engine through identical message flows:
-  // same addresses, same hop totals.
-  const ScenarioOutcome maj = run_scenario(QuorumBackend::kMajority);
-  const ScenarioOutcome sl = run_scenario(QuorumBackend::kSlices);
-  EXPECT_EQ(maj.addresses, sl.addresses);
-  EXPECT_EQ(maj.protocol_hops, sl.protocol_hops);
-  EXPECT_GE(maj.addresses.size(), 9u);
-}
-
 TEST(QuorumPolicyEquivalence, EngineDefaultMatchesExplicitDynamicLinear) {
-  unsetenv("QIP_QUORUM");
-  const ScenarioOutcome dflt = run_scenario(quorum_backend_from_env());
-  const ScenarioOutcome dl = run_scenario(QuorumBackend::kDynamicLinear);
+  // The paper's §II-D rule is the default, and naming it changes nothing.
+  EXPECT_EQ(QipParams{}.quorum, QuorumBackend::kDynamicLinear);
+  QipParams named;
+  named.quorum = QuorumBackend::kDynamicLinear;
+  const ScenarioOutcome dflt = run_scenario(QipParams{});
+  const ScenarioOutcome dl = run_scenario(named);
   EXPECT_EQ(dflt.addresses, dl.addresses);
   EXPECT_EQ(dflt.protocol_hops, dl.protocol_hops);
+  EXPECT_GE(dflt.addresses.size(), 9u);
 }
 
 }  // namespace

@@ -2,60 +2,31 @@
 # byte-identical whichever mechanism produced it.  ctest (tools/CMakeLists.txt)
 # invokes it in two roles per bench:
 #
-#   cmake -DBENCH=<exe> -DBASE_OUT=<file> [-DBASE_VAR=<VAR=value>]
-#         -P check_invariance.cmake
+#   cmake -DBENCH=<exe> -DBASE_OUT=<file> -P check_invariance.cmake
 #       Base run (a fixture setup): runs the bench once under the base
 #       environment and stores its stdout in BASE_OUT.
 #
-#   cmake -DBENCH=<exe> -DBASE_OUT=<file> [-DBASE_VAR=<VAR=value>]
-#         -DVARIANT=<VAR=value> -P check_invariance.cmake
+#   cmake -DBENCH=<exe> -DBASE_OUT=<file> -DVARIANT=<VAR=value>
+#         -P check_invariance.cmake
 #       Variant run: the base environment with one more variable set.  Its
 #       stdout is byte-compared with the stored base; on a mismatch the
 #       failure names the variant and dumps both outputs.
 #
 # The base environment is QIP_ROUNDS=2 (at least two cells per x for the
-# parallel runner to interleave) and QIP_JOBS=1, with QIP_TRACE_FILE,
-# QIP_SCHED and QIP_QUORUM unset unless BASE_VAR sets one of them.  The
+# parallel runner to interleave), QIP_JOBS=1 and QIP_TRACE_FILE unset.  The
 # variants and the contract each pins:
 #
 #   QIP_TRACE_FILE=<path>  tracing observes and never perturbs; the run must
 #                          also write the trace (docs/OBSERVABILITY.md)
 #   QIP_JOBS=4             the worker count is mechanism (docs/PARALLELISM.md)
-#   QIP_SCHED=heap         both event-queue backends pop in (time, seq)
-#                          order, so the backend is mechanism
-#                          (docs/SIMULATOR.md)
-#   QIP_QUORUM=dynamic_linear  naming the default backend explicitly leaves
-#                          the policy machinery dormant (docs/QUORUM.md)
-#   QIP_QUORUM=majority    on a QIP_QUORUM=slices base: flat-majority slices
-#                          are count-equivalent to strict majority
 if(NOT DEFINED BENCH OR NOT DEFINED BASE_OUT)
   message(FATAL_ERROR
       "check_invariance.cmake needs -DBENCH=... and -DBASE_OUT=...")
 endif()
 
-function(set_env assignment)
-  string(FIND "${assignment}" "=" eq)
-  if(eq LESS 1)
-    message(FATAL_ERROR "expected VAR=value, got '${assignment}'")
-  endif()
-  string(SUBSTRING "${assignment}" 0 ${eq} var)
-  math(EXPR start "${eq} + 1")
-  string(SUBSTRING "${assignment}" ${start} -1 value)
-  set(ENV{${var}} "${value}")
-  set(env_var "${var}" PARENT_SCOPE)
-  set(env_value "${value}" PARENT_SCOPE)
-endfunction()
-
 set(ENV{QIP_ROUNDS} 2)
 set(ENV{QIP_JOBS} 1)
 unset(ENV{QIP_TRACE_FILE})
-unset(ENV{QIP_SCHED})
-unset(ENV{QIP_QUORUM})
-set(base_desc "base")
-if(BASE_VAR)
-  set_env("${BASE_VAR}")
-  set(base_desc "base ${BASE_VAR}")
-endif()
 
 if(NOT DEFINED VARIANT)
   get_filename_component(out_dir "${BASE_OUT}" DIRECTORY)
@@ -67,7 +38,7 @@ if(NOT DEFINED VARIANT)
     RESULT_VARIABLE rc
   )
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${BENCH} (${base_desc}) exited with status ${rc}")
+    message(FATAL_ERROR "${BENCH} (base) exited with status ${rc}")
   endif()
   # Published only once complete, so a variant never compares against a
   # truncated base.
@@ -79,7 +50,14 @@ if(NOT EXISTS "${BASE_OUT}")
   message(FATAL_ERROR "base output ${BASE_OUT} is missing — its fixture "
       "setup test did not run or failed")
 endif()
-set_env("${VARIANT}")
+string(FIND "${VARIANT}" "=" eq)
+if(eq LESS 1)
+  message(FATAL_ERROR "expected VARIANT=VAR=value, got '${VARIANT}'")
+endif()
+string(SUBSTRING "${VARIANT}" 0 ${eq} env_var)
+math(EXPR start "${eq} + 1")
+string(SUBSTRING "${VARIANT}" ${start} -1 env_value)
+set(ENV{${env_var}} "${env_value}")
 string(MAKE_C_IDENTIFIER "${VARIANT}" tag)
 set(variant_out "${BASE_OUT}.${tag}")
 if(env_var STREQUAL "QIP_TRACE_FILE")
@@ -91,8 +69,7 @@ execute_process(
   RESULT_VARIABLE rc
 )
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${BENCH} (${base_desc}, ${VARIANT}) exited with "
-      "status ${rc}")
+  message(FATAL_ERROR "${BENCH} (${VARIANT}) exited with status ${rc}")
 endif()
 
 # A traced run that recorded nothing would make the comparison vacuous.
@@ -114,8 +91,8 @@ if(NOT differs EQUAL 0)
   message(FATAL_ERROR
       "${BENCH} output changes under ${VARIANT} — the mechanism it selects "
       "perturbed the results.\n"
-      "${base_desc}: ${BASE_OUT}\n${VARIANT}: ${variant_out}\n"
-      "----- ${base_desc} -----\n${base_text}"
+      "base: ${BASE_OUT}\n${VARIANT}: ${variant_out}\n"
+      "----- base -----\n${base_text}"
       "----- ${VARIANT} -----\n${variant_text}")
 endif()
 file(REMOVE "${variant_out}")

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "baselines/boleng.hpp"
@@ -60,6 +61,7 @@ struct Options {
   bool quiet = false;
   std::uint32_t rounds = 1;
   std::uint32_t jobs = 1;
+  QuorumBackend quorum = QuorumBackend::kDynamicLinear;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -71,7 +73,7 @@ struct Options {
       "          [--duration SECS] [--churn N] [--abrupt RATIO]\n"
       "          [--pool N] [--csv FILE] [--trace FILE] [--quiet]\n"
       "          [--rounds R] [--jobs N]\n"
-      "          [--quorum majority|dynamic_linear|slices]\n",
+      "          [--quorum majority|dynamic_linear]\n",
       argv0);
   std::exit(2);
 }
@@ -91,21 +93,21 @@ Options parse(int argc, char** argv) {
     if (arg == "--protocol") {
       opt.protocol = value();
     } else if (arg == "--nodes") {
-      opt.nodes = static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      opt.nodes = parse_positive_u32("--nodes", value());
     } else if (arg == "--range") {
-      opt.range = std::strtod(value(), nullptr);
+      opt.range = parse_finite_double("--range", value());
     } else if (arg == "--speed") {
-      opt.speed = std::strtod(value(), nullptr);
+      opt.speed = parse_finite_double("--speed", value());
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(), nullptr, 10);
+      opt.seed = parse_u64("--seed", value());
     } else if (arg == "--duration") {
-      opt.duration = std::strtod(value(), nullptr);
+      opt.duration = parse_finite_double("--duration", value());
     } else if (arg == "--churn") {
-      opt.churn = static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      opt.churn = parse_u32("--churn", value());
     } else if (arg == "--abrupt") {
-      opt.abrupt = std::strtod(value(), nullptr);
+      opt.abrupt = parse_finite_double("--abrupt", value());
     } else if (arg == "--pool") {
-      opt.pool = std::strtoull(value(), nullptr, 10);
+      opt.pool = parse_u64("--pool", value());
     } else if (arg == "--csv") {
       opt.csv_path = value();
     } else if (arg == "--quiet") {
@@ -115,17 +117,17 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--jobs") {
       opt.jobs = parse_positive_u32("--jobs", value());
     } else if (arg == "--quorum") {
-      // Routed through QIP_QUORUM so every internally-built QipParams sees
-      // it (only the qip protocol consults it; baselines have no quorums).
+      // Only the qip protocol consults it; baselines have no quorums.
       const char* name = value();
-      if (!parse_quorum_backend(name)) {
+      const std::optional<QuorumBackend> quorum = parse_quorum_backend(name);
+      if (!quorum) {
         std::fprintf(stderr,
-                     "--quorum %s is not a quorum backend (expected "
-                     "\"majority\", \"dynamic_linear\" or \"slices\")\n",
+                     "qip: invalid --quorum value '%s' (expected majority or "
+                     "dynamic_linear)\n",
                      name);
         std::exit(2);
       }
-      setenv("QIP_QUORUM", name, /*overwrite=*/1);
+      opt.quorum = *quorum;
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else {
@@ -133,8 +135,7 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (opt.nodes == 0 || opt.range <= 0 || opt.pool < 4) usage(argv[0]);
-  (void)quorum_backend_from_env();  // fail fast on a malformed QIP_QUORUM
+  if (opt.range <= 0 || opt.pool < 4) usage(argv[0]);
   return opt;
 }
 
@@ -143,6 +144,7 @@ std::unique_ptr<AutoconfProtocol> make_protocol(const Options& opt,
   if (opt.protocol == "qip") {
     QipParams p;
     p.pool_size = opt.pool;
+    p.quorum = opt.quorum;
     auto proto = std::make_unique<QipEngine>(world.transport(), world.rng(), p);
     proto->start_hello();
     return proto;
